@@ -1,15 +1,13 @@
 # Developer entry points.  `make verify` is the tier-1 gate every PR must
 # keep green: a full type-check of every target, the repo invariant
 # linter (tools/lint/, zero unannotated findings), the test suite (plus
-# a multi-domain smoke pass — results must be bit-identical, see
-# lib/par/ — and a pass with a live stderr tracing sink, which must not
-# move any numeric either), and a smoke run of the benchmark harness
+# a pass with a live stderr tracing sink, which must not move any
+# numeric), and a smoke run of the benchmark harness
 # (sub-10-seconds; proves the harness itself still works, not
 # performance).
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
-        bench bench-smoke bench-diff bench-scaling service-smoke \
-        bench-service
+        bench bench-smoke bench-diff service-smoke bench-service
 
 all: build
 
@@ -48,7 +46,6 @@ lint-sarif:
 
 verify:
 	dune build @check && $(MAKE) lint && dune runtest \
-	  && SIDER_DOMAINS=2 dune runtest --force \
 	  && SIDER_TRACE=stderr dune runtest --force && $(MAKE) bench-smoke \
 	  && $(MAKE) service-smoke
 
@@ -102,12 +99,12 @@ bench-service:
 	  --baseline BENCH_pr6.json --label pr7 --out BENCH_pr7.json
 
 # Full machine-readable benchmark run; rewrites the committed result,
-# including the domain-scaling table, the warm-update sweep gate and
-# the labeled-metrics overhead gate, and embeds the delta against the
+# including the warm-update sweep gate and the labeled-metrics overhead
+# gate, and embeds the delta against the
 # newest committed baseline with a scenario table (BENCH_pr8.json).
 bench:
 	dune exec bench/bench_regress.exe -- --out BENCH_pr9.json --label pr9 \
-	  --scaling --baseline BENCH_pr8.json --baseline BENCH_pr4.json
+	  --baseline BENCH_pr8.json --baseline BENCH_pr4.json
 
 # Fast sanity pass over every scenario (reduced sizes, 1 run each),
 # checked to still cover the PR 8 warm-path scenarios and the PR 9
@@ -123,12 +120,6 @@ bench-smoke:
 bench-diff:
 	dune exec bench/bench_regress.exe -- --out _artifacts/BENCH_head.json \
 	  --baseline BENCH_pr9.json
-
-# Wall clock of the Sider_par-enabled scenarios at 1, 2 and 4 domains
-# (results are bit-identical at every size; only the time may change).
-bench-scaling:
-	dune exec bench/bench_regress.exe -- --scaling \
-	  --out _artifacts/BENCH_scaling.json
 
 clean:
 	dune clean

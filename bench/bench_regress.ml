@@ -8,13 +8,12 @@
    the full pipeline) and writes one JSON document per invocation:
 
      { "schema": "sider-bench/3", "label": "pr9", "smoke": false,
-       "domains": 1, "ocaml_version": "...",
+       "ocaml_version": "...",
        "scenarios": [ { "name": ..., "wall_s": ..., "wall_min_s": ...,
                         "sweeps": ..., "warm_sweeps": ...,
                         "cold_sweeps": ..., "classes": ...,
                         "peak_heap_words": ..., "allocated_words": ...,
-                        "runs": ... }, ... ],
-       "scaling": [ { "name": ..., "domains": ..., "wall_s": ... } ] }
+                        "runs": ... }, ... ] }
 
    Per scenario: median and minimum wall-clock of the timed section over
    --runs repetitions, sweeps-to-convergence and row-equivalence-class
@@ -41,15 +40,12 @@
      --smoke           tiny inputs, 1 run: exercises the harness in
                        seconds (wired into `make verify`)
      --runs N          repetitions per scenario (default 3; smoke 1)
-     --label STR       label recorded in the output (default pr9)
-     --scaling         also run the Sider_par-enabled scenarios at 1, 2
-                       and 4 domains and record a "scaling" section *)
+     --label STR       label recorded in the output (default pr9) *)
 
 open Sider_data
 open Sider_maxent
 open Sider_projection
 open Sider_core
-module Par = Sider_par.Par
 
 type run_result = {
   wall : float;
@@ -432,7 +428,7 @@ let measure ~smoke ~runs sc =
    [baseline_walls] below, pointed at any version) read the same
    statistic, and adds the warm/cold split of the solver's sweep count
    on top of v2's minimum-wall and execution environment. *)
-let to_json ~label ~smoke ~scaling measured =
+let to_json ~label ~smoke measured =
   let scenario_json m =
     Json.Obj
       [ ("name", Json.String m.m_name);
@@ -448,25 +444,11 @@ let to_json ~label ~smoke ~scaling measured =
         ("runs", Json.Number (float_of_int m.m_runs)) ]
   in
   Json.Obj
-    ([ ("schema", Json.String "sider-bench/3");
-       ("label", Json.String label);
-       ("smoke", Json.Bool smoke);
-       ("domains", Json.Number (float_of_int (Par.domain_count ())));
-       ("ocaml_version", Json.String Sys.ocaml_version);
-       ("scenarios", Json.List (List.map scenario_json measured)) ]
-     @
-     match scaling with
-     | [] -> []
-     | rows ->
-       [ ("scaling",
-          Json.List
-            (List.map
-               (fun (name, domains, wall) ->
-                 Json.Obj
-                   [ ("name", Json.String name);
-                     ("domains", Json.Number (float_of_int domains));
-                     ("wall_s", Json.Number wall) ])
-               rows)) ])
+    [ ("schema", Json.String "sider-bench/3");
+      ("label", Json.String label);
+      ("smoke", Json.Bool smoke);
+      ("ocaml_version", Json.String Sys.ocaml_version);
+      ("scenarios", Json.List (List.map scenario_json measured)) ]
 
 (* Tolerant reader: any schema version works (only name + wall_s are
    read), and a JSON document without a scenario table — e.g. a
@@ -519,40 +501,12 @@ let diff_against ~baseline measured =
 
 (* --- driver ---------------------------------------------------------------- *)
 
-(* Domain-scaling sweep: the three projection/session scenarios that
-   fan out through [Sider_par], each at 1, 2 and 4 domains.  Results are
-   deterministic for any domain count, so the sweep is purely about
-   wall clock. *)
-let scaling_names =
-  [ "session_update_synthetic"; "whiten_pca"; "ica_projection" ]
-
-let scaling_domain_counts = [ 1; 2; 4 ]
-
-let run_scaling ~smoke =
-  let restore = Par.domain_count () in
-  let rows =
-    List.concat_map
-      (fun name ->
-        let sc = List.find (fun sc -> sc.name = name) scenarios in
-        List.map
-          (fun d ->
-            Par.set_domains d;
-            let r = sc.run ~smoke in
-            Printf.printf "  %-30s domains=%d %.4fs\n%!" sc.name d r.wall;
-            (name, d, r.wall))
-          scaling_domain_counts)
-      scaling_names
-  in
-  Par.set_domains restore;
-  rows
-
 let () =
   let smoke = ref false in
   let out = ref "BENCH_pr9.json" in
   let baselines = ref [] in
   let runs = ref 0 in
   let label = ref "pr9" in
-  let scaling = ref false in
   let specs =
     [ ("--smoke", Arg.Set smoke, "tiny inputs, 1 run (harness self-test)");
       ("--out", Arg.Set_string out, "PATH output JSON path");
@@ -561,14 +515,11 @@ let () =
        "PATH previous output to diff against (exit 1 on >25% regression); \
         repeatable — the first file with a scenario table wins");
       ("--runs", Arg.Set_int runs, "N repetitions per scenario");
-      ("--label", Arg.Set_string label, "STR label recorded in the output");
-      ("--scaling", Arg.Set scaling,
-       " also run the par-enabled scenarios at 1/2/4 domains") ]
+      ("--label", Arg.Set_string label, "STR label recorded in the output") ]
   in
   Arg.parse specs
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench_regress [--smoke] [--out PATH] [--baseline PATH] [--runs N] \
-     [--scaling]";
+    "bench_regress [--smoke] [--out PATH] [--baseline PATH] [--runs N]";
   let smoke = !smoke in
   let runs = if !runs > 0 then !runs else if smoke then 1 else 3 in
   Printf.printf "bench_regress: %d scenarios, %d run(s) each%s\n%!"
@@ -584,16 +535,7 @@ let () =
         m)
       scenarios
   in
-  let scaling_rows =
-    if !scaling then begin
-      Printf.printf "  domain scaling:\n%!";
-      run_scaling ~smoke
-    end
-    else []
-  in
-  let json =
-    Json.to_string (to_json ~label:!label ~smoke ~scaling:scaling_rows measured)
-  in
+  let json = Json.to_string (to_json ~label:!label ~smoke measured) in
   Bench_common.write_file !out (json ^ "\n");
   Printf.printf "  wrote %s\n%!" !out;
   (* The warm-update gate (full runs only: smoke sizes converge in too

@@ -5,13 +5,7 @@
     functional and allocate fresh results.  The [_into] variants write
     into caller-provided storage instead, for allocation-free inner
     loops; destinations must have the exact result shape and (except for
-    the element-wise operations) must not alias an input.
-
-    The heavy kernels ({!matmul}, {!matmul_nt}, {!covariance}, {!gram})
-    fan their independent output rows out across the [Sider_par] domain
-    pool when the estimated work is large enough; chunking is a pure
-    function of the problem size, so results are bit-identical for any
-    domain count (see [Sider_par.Par]). *)
+    the element-wise operations) must not alias an input. *)
 
 type t = private { rows : int; cols : int; a : float array }
 

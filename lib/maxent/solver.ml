@@ -2,14 +2,6 @@ open Sider_linalg
 open Sider_rand
 open Sider_robust
 module Obs = Sider_obs.Obs
-module Par = Sider_par.Par
-
-(* Per-equivalence-class applies fan out across the domain pool: classes
-   are disjoint state, so bodies touch disjoint [Gauss_params.t] values
-   and the result is bit-identical for any domain count.  One class per
-   chunk ([~chunk:1]): class updates are O(d²) each and the class count
-   is small. *)
-let par_classes_min = 2
 
 type t = {
   data : Mat.t;
@@ -188,17 +180,15 @@ let update_linear t idx ~damp =
   else begin
     let lambda = damp *. (constr.Constr.target -. !v_cur) /. !denom in
     let dparam =
-      Par.parallel_reduce ~chunk:1 ~min:par_classes_min
-        ~label:"solver.apply_linear" ~n:(Array.length groups) ~init:0.0
-        ~step:(fun acc i ->
-          let cls, _ = groups.(i) in
+      Array.fold_left
+        (fun acc (cls, _) ->
           let p = t.classes.(cls) in
           let acc =
             Float.max acc (Float.abs (lambda *. Gauss_params.proj_var p w))
           in
           Gauss_params.apply_linear p ~lambda ~w;
           acc)
-        ~combine:Float.max ()
+        0.0 groups
     in
     (lambda, dparam, [])
   end
@@ -219,13 +209,13 @@ let update_quadratic t idx ~lambda_cap ~damp =
   let cs = Array.make k 0.0
   and es = Array.make k 0.0
   and cnts = Array.make k 0.0 in
-  Par.parallel_for ~chunk:1 ~min:par_classes_min ~label:"solver.quad_scan"
-    ~n:k (fun i ->
-      let cls, cnt = groups.(i) in
-      let p = t.classes.(cls) in
-      cs.(i) <- Gauss_params.proj_var p w;
-      es.(i) <- Gauss_params.proj_mean p w;
-      cnts.(i) <- float_of_int cnt);
+  for i = 0 to k - 1 do
+    let cls, cnt = groups.(i) in
+    let p = t.classes.(cls) in
+    cs.(i) <- Gauss_params.proj_var p w;
+    es.(i) <- Gauss_params.proj_mean p w;
+    cnts.(i) <- float_of_int cnt
+  done;
   let c_max = Array.fold_left Float.max 0.0 cs in
   let v lambda =
     let acc = ref 0.0 in
@@ -278,44 +268,32 @@ let update_quadratic t idx ~lambda_cap ~damp =
     let lambda = damp *. lambda in
     if Float.equal lambda 0.0 then (0.0, 0.0, [])
     else begin
-      (* Per-chunk partials are (max |Δparam|, reversed fault list); the
-         ordered tree combine prepends higher-index chunks, reproducing
-         exactly the reversed order the sequential fold built. *)
-      let apply_range lo hi =
-        let dp = ref 0.0 and faults = ref [] in
-        for i = lo to hi - 1 do
-          let cls, _ = groups.(i) in
-          let p = t.classes.(cls) in
-          let denom = 1.0 +. (lambda *. cs.(i)) in
-          let dsd = sqrt (cs.(i) /. denom) -. sqrt cs.(i) in
-          let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
-          dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
-          match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
-          | `Sherman_morrison -> ()
-          | `Recomputed ->
-            faults :=
-              Sider_error.singular_covariance ~class_index:cls
-                ~constraint_tag:constr.Constr.tag
-                "rank-1 update lost positive definiteness; recomputed Σ \
-                 in full"
-              :: !faults
-          | `Frozen ->
-            faults :=
-              Sider_error.singular_covariance ~class_index:cls
-                ~constraint_tag:constr.Constr.tag
-                "rank-1 update and full recompute both failed; class \
-                 frozen for this update"
-              :: !faults
-        done;
-        (!dp, !faults)
-      in
-      match
-        Par.parallel_reduce_chunks ~chunk:1 ~min:par_classes_min
-          ~label:"solver.apply_quadratic" ~n:k ~part:apply_range
-          ~combine:(fun (d1, f1) (d2, f2) -> (Float.max d1 d2, f2 @ f1)) ()
-      with
-      | None -> (lambda, 0.0, [])
-      | Some (dparam, faults) -> (lambda, dparam, faults)
+      let dp = ref 0.0 and faults = ref [] in
+      for i = 0 to k - 1 do
+        let cls, _ = groups.(i) in
+        let p = t.classes.(cls) in
+        let denom = 1.0 +. (lambda *. cs.(i)) in
+        let dsd = sqrt (cs.(i) /. denom) -. sqrt cs.(i) in
+        let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
+        dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
+        match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
+        | `Sherman_morrison -> ()
+        | `Recomputed ->
+          faults :=
+            Sider_error.singular_covariance ~class_index:cls
+              ~constraint_tag:constr.Constr.tag
+              "rank-1 update lost positive definiteness; recomputed Σ \
+               in full"
+            :: !faults
+        | `Frozen ->
+          faults :=
+            Sider_error.singular_covariance ~class_index:cls
+              ~constraint_tag:constr.Constr.tag
+              "rank-1 update and full recompute both failed; class \
+               frozen for this update"
+            :: !faults
+      done;
+      (lambda, !dp, !faults)
     end
   end
 
@@ -352,8 +330,7 @@ let run_update t idx (constr : Constr.t) ~lambda_cap ~damp =
 
 (* Wall clock off the process-epoch monotonic base in lib/obs — the one
    sanctioned clock, so cutoff and [elapsed] agree with the telemetry
-   timeline and stay meaningful when sweeps fan out across domains
-   (CPU time used to multiply by the domain count). *)
+   timeline (process CPU time would also count other threads' work). *)
 let now_s () = Int64.to_float (Obs.now_ns ()) *. 1e-9
 
 (* One phase of iterative scaling over the constraint subset [indices]

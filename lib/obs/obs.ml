@@ -71,28 +71,11 @@ let controller : int ref = ref (Domain.self () :> int)
 let is_controller () = (Domain.self () :> int) = !controller
 
 (* Per-domain span stacks: each domain pushes and pops frames on its own
-   stack, so bodies fanned out by [Sider_par] can open spans freely. *)
+   stack, so code running on any domain can open spans freely. *)
 let dls_stack : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let own_stack () = Domain.DLS.get dls_stack
-
-(* Depth offset for spans opened on worker domains (or inside parallel
-   bodies on the controller): the controller's open-span depth at the
-   moment the fan-out engaged, maintained by [Sider_par].  [fanout_on]
-   additionally marks controller-run chunk bodies so their spans are
-   tagged with a domain id exactly like worker-run ones. *)
-let fanout_base = Atomic.make 0
-
-let fanout_on = Atomic.make false
-
-let enter_fanout ~depth =
-  Atomic.set fanout_base (Stdlib.max 0 depth);
-  Atomic.set fanout_on true
-
-let exit_fanout () =
-  Atomic.set fanout_base 0;
-  Atomic.set fanout_on false
 
 type hist_acc = { mutable values : float array; mutable len : int }
 
@@ -111,9 +94,8 @@ let series_tbl : (string, (string * value) list list ref) Hashtbl.t =
    registry itself. *)
 let family_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 
-(* The metrics and series registries are shared across domains: bodies
-   fanned out by [Sider_par] bump counters (e.g. the Woodbury fast-path
-   counters) from worker domains.  Every registry access is taken under
+(* The metrics and series registries are shared across domains: any
+   domain may bump a counter.  Every registry access is taken under
    this mutex once the [active] fast path has passed; with the layer off
    nothing locks. *)
 let registry_m = Mutex.create ()
@@ -551,10 +533,10 @@ let complete_span ~worker sp =
   | Some sink ->
     if worker then push_pending sp
     else begin
-      (* Unlocked length probe: workers only push while the controller is
-         blocked inside [Par.run_job], and the pool mutex handover there
-         orders their pushes before this read, so a zero here is exact —
-         the common single-domain case skips the drain mutex entirely. *)
+      (* Unlocked length probe: the racy read is memory-safe in OCaml 5,
+         and a stale zero only defers a worker's buffered spans to the
+         next controller span or [flush] — the common single-domain
+         case skips the drain mutex entirely. *)
       if !pending_len > 0 then List.iter sink.on_span (take_pending ());
       sink.on_span sp;
       if sp.depth = 0 then sample_gc ()
@@ -563,7 +545,7 @@ let complete_span ~worker sp =
 (* Close [fr]: pop down to (and including) its frame — anything above it
    means the body leaked open spans; close them implicitly rather than
    corrupt the stack — then time, optionally feed [hist], and emit. *)
-let finish_span ~stack ~worker ~in_fanout ~hist fr =
+let finish_span ~stack ~worker ~hist fr =
   let rec pop = function
     | top :: rest -> if top == fr then stack := rest else pop rest
     | [] -> stack := []
@@ -574,14 +556,9 @@ let finish_span ~stack ~worker ~in_fanout ~hist fr =
   (match hist with
    | None -> ()
    | Some h -> observe h (Int64.to_float dur /. 1e9));
-  let attrs = List.rev fr.f_attrs in
-  let attrs =
-    if in_fanout then attrs @ [ ("domain", Int (Domain.self () :> int)) ]
-    else attrs
-  in
   complete_span ~worker
     { name = fr.f_name; depth = fr.f_depth; start_ns = fr.f_start;
-      dur_ns = dur; attrs }
+      dur_ns = dur; attrs = List.rev fr.f_attrs }
 
 (* Shared body of [with_span] / [timed]: one clock read on open, one on
    close (the histogram sample reuses the span's own duration), and a
@@ -591,22 +568,20 @@ let finish_span ~stack ~worker ~in_fanout ~hist fr =
 let with_span_core ~attrs ~hist name f =
   let stack = own_stack () in
   let worker = not (is_controller ()) in
-  let in_fanout = worker || Atomic.get fanout_on in
-  let base = if in_fanout then Atomic.get fanout_base else 0 in
   let fr =
     { f_name = name;
-      f_depth = base + List.length !stack;
+      f_depth = List.length !stack;
       f_start = now_ns ();
       f_attrs = List.rev attrs }
   in
   stack := fr :: !stack;
   match f () with
   | v ->
-    finish_span ~stack ~worker ~in_fanout ~hist fr;
+    finish_span ~stack ~worker ~hist fr;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    finish_span ~stack ~worker ~in_fanout ~hist fr;
+    finish_span ~stack ~worker ~hist fr;
     Printexc.raise_with_backtrace e bt
 
 let with_span ?(attrs = []) name f =

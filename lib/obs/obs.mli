@@ -24,13 +24,11 @@
     Every entry point is safe from any domain.  The metrics and series
     registries are protected by a mutex; the clock clamp and the flight
     recorder are lock-free.  Spans use {e per-domain} stacks
-    ([Domain.DLS]), so bodies fanned out by [Sider_par] may call
-    {!with_span} / {!timed} freely.  The sink's callbacks only ever run
-    on the {e controller} domain (the one that called {!set_sink}):
-    spans completed on worker domains are buffered and stitched into the
-    controller's output — tagged with a [domain] attribute carrying the
-    worker's domain id, and offset to the fan-out point's depth — the
-    next time the controller emits a span, or at {!flush}. *)
+    ([Domain.DLS]), so code on any domain may call {!with_span} /
+    {!timed} freely.  The sink's callbacks only ever run on the
+    {e controller} domain (the one that called {!set_sink}): spans
+    completed on other domains are buffered and delivered the next time
+    the controller emits a span, or at {!flush}. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 (** Attribute values attached to spans. *)
@@ -40,8 +38,7 @@ type span = {
   depth : int;          (** 0 for a root span. *)
   start_ns : int64;     (** Nanoseconds since the clock epoch. *)
   dur_ns : int64;       (** Non-negative duration. *)
-  attrs : (string * value) list;  (** Insertion order.  Spans completed
-      inside a [Sider_par] fan-out carry a trailing [("domain", Int id)]. *)
+  attrs : (string * value) list;  (** Insertion order. *)
 }
 
 type metric =
@@ -113,7 +110,7 @@ val install_from_env : unit -> unit
 
 val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** Runs the body inside a named span.  Disabled: exactly [f ()].  Safe
-    from any domain, including inside [Sider_par.Par] parallel bodies. *)
+    from any domain. *)
 
 val span_attr : string -> value -> unit
 (** Attach an attribute to the calling domain's innermost open span
@@ -299,16 +296,6 @@ val flight_auto_dump : ?trace:string -> reason:string -> unit -> unit
 
 val flight_reset : unit -> unit
 (** Clear the ring (tests). *)
-
-(** {1 Fan-out stitching (used by [Sider_par])} *)
-
-val enter_fanout : depth:int -> unit
-(** Mark the start of a parallel fan-out whose bodies may open spans:
-    [depth] (the controller's {!current_depth}) becomes the depth offset
-    for spans opened inside the fan-out, and such spans are tagged with
-    the executing domain's id. *)
-
-val exit_fanout : unit -> unit
 
 (** {1 Clock} *)
 

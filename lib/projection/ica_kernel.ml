@@ -3,7 +3,6 @@
 [@@@sider.allow "float-equality"]
 
 open Sider_linalg
-module Par = Sider_par.Par
 
 external simd_available_stub : unit -> bool = "sider_ica_simd_available"
 [@@noalloc]
@@ -58,9 +57,23 @@ type path =
 
 type t = { z : Mat.t; n : int; m : int; path : path }
 
-(* The SIMD row-block size: boundaries depend only on n, so per-chunk
-   partials combine identically for every domain count. *)
+(* The SIMD row-block size.  Each block's partial sums come from one C
+   call; the partials are then merged by [tree_combine].  Block
+   boundaries depend only on n, and the merge order is fixed, so the sums
+   are deterministic — and FastICA's chaotic fixed point needs them to
+   be, to the last bit. *)
 let simd_chunk = 256
+
+(* Ordered binary tree over the block partials, left-heavy so that three
+   or fewer blocks reduce like a left fold. *)
+let rec tree_combine combine partials lo hi =
+  if hi - lo = 1 then partials.(lo)
+  else begin
+    let mid = lo + ((hi - lo + 1) / 2) in
+    combine
+      (tree_combine combine partials lo mid)
+      (tree_combine combine partials mid hi)
+  end
 
 let create_reference z =
   let n, m = Mat.dims z in
@@ -130,37 +143,34 @@ let sweep_simd t ~w ~gz ~(eg : Vec.t) ~mpad ~zpad ~wt =
       Array.unsafe_set wt (off + k) (Array.unsafe_get wa ((k * m) + f))
     done
   done;
-  let res =
-    Par.parallel_reduce_chunks ~chunk:simd_chunk ~label:"ica.sweep" ~n:t.n
-      ~part:(fun lo hi ->
+  (* [create] only builds the SIMD path for n >= 1, so there is at least
+     one block. *)
+  let partials =
+    Array.init ((t.n + simd_chunk - 1) / simd_chunk) (fun c ->
+        let lo = c * simd_chunk in
+        let hi = Stdlib.min t.n (lo + simd_chunk) in
         let gzp = Array.make (m * mpad) 0.0 in
         let egp = Array.make mpad 0.0 in
         sweep_stub zpad wt gzp egp lo hi m mpad;
         (gzp, egp))
-      ~combine:(fun (g1, e1) (g2, e2) ->
-        (* Partials flow through the ordered tree once each, so reusing
-           the left buffer is safe and saves an allocation per merge. *)
-        for i = 0 to (m * mpad) - 1 do
-          Array.unsafe_set g1 i
-            (Array.unsafe_get g1 i +. Array.unsafe_get g2 i)
-        done;
-        for i = 0 to mpad - 1 do
-          Array.unsafe_set e1 i
-            (Array.unsafe_get e1 i +. Array.unsafe_get e2 i)
-        done;
-        (g1, e1))
-      ()
   in
-  match res with
-  | None ->
-    Array.fill gz.Mat.a 0 (m * m) 0.0;
-    Array.fill eg 0 m 0.0
-  | Some (gzp, egp) ->
-    let gza = gz.Mat.a in
-    for k = 0 to m - 1 do
-      Array.blit gzp (k * mpad) gza (k * m) m
+  let combine (g1, e1) (g2, e2) =
+    (* Partials flow through the ordered tree once each, so reusing the
+       left buffer is safe and saves an allocation per merge. *)
+    for i = 0 to (m * mpad) - 1 do
+      Array.unsafe_set g1 i (Array.unsafe_get g1 i +. Array.unsafe_get g2 i)
     done;
-    Array.blit egp 0 eg 0 m
+    for i = 0 to mpad - 1 do
+      Array.unsafe_set e1 i (Array.unsafe_get e1 i +. Array.unsafe_get e2 i)
+    done;
+    (g1, e1)
+  in
+  let gzp, egp = tree_combine combine partials 0 (Array.length partials) in
+  let gza = gz.Mat.a in
+  for k = 0 to m - 1 do
+    Array.blit gzp (k * mpad) gza (k * m) m
+  done;
+  Array.blit egp 0 eg 0 m
 
 let sweep t ~w ~gz ~eg =
   let wr, wc = Mat.dims w in

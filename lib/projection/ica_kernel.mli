@@ -19,10 +19,10 @@
        [test_projection]).}
     {- [simd] — AVX2+FMA C stubs with a polynomial [tanh]
        (~1e-15 relative error), selected by default when the CPU supports
-       it.  Deterministic — including across [SIDER_DOMAINS] — because
-       per-chunk partial sums are combined over a chunk grid that depends
-       only on [n] ({!Sider_par} discipline), but {e not} bit-identical
-       to the reference path.}}
+       it.  Deterministic, because per-block partial sums are combined
+       in a fixed tree over a block grid that depends only on [n] (pinned
+       to the bit by [test/golden/ica_simd_bits.json]), but {e not}
+       bit-identical to the reference path.}}
 
     Selection: [SIDER_ICA_KERNEL=reference] or [=simd] overrides the
     default (read once, at first use); [simd] is silently downgraded to

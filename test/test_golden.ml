@@ -190,13 +190,13 @@ let test_pca_projection () =
 
 let test_ica_projection () =
   (* Pinned to the reference kernel: its results are bit-identical on
-     every CPU and domain count, so the fixture never needs per-machine
+     every CPU, so the fixture never needs per-machine
      variants.  (The SIMD kernel is deterministic too, but its tanh
      differs from libm by ~1e-15, and this fixture's whitened data is
      near-structureless — the fixed point is chaotic, so kernels diverge
      to different, equally valid, trajectories.  SIMD correctness is
-     pinned by test_projection's closeness tests and test_par's
-     cross-domain bit-stability instead.) *)
+     pinned by test_projection's closeness tests and by
+     [test_ica_simd_bits] instead.) *)
   Ica_kernel.set_mode Ica_kernel.Force_reference;
   Fun.protect ~finally:(fun () -> Ica_kernel.set_mode Ica_kernel.Auto)
   @@ fun () ->
@@ -216,11 +216,25 @@ let test_ica_projection () =
     ~check:(fun expected actual ->
       check_axes ~score_key:"scores" "ICA" expected actual)
 
+(* Sweep outputs recorded as hex float bits, compared string for string. *)
+let bits_of_arr a =
+  Json.List
+    (Array.to_list
+       (Array.map
+          (fun v -> Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float v)))
+          a))
+
+let check_bits what expected actual =
+  let strs key j = List.map Json.to_str (Json.to_list (Json.member key j)) in
+  List.iter
+    (fun key ->
+      if strs key expected <> strs key actual then
+        Alcotest.failf "%s bits drifted in %s" what key)
+    [ "gz_bits"; "eg_bits" ]
+
 (* The fused-sweep byte-identity contract, pinned down to the bit: the
    reference kernel's gz/eg must match both the unfused three-pass
-   pipeline (live, every run) and the recorded fixture (cross-version).
-   The whole suite re-runs under SIDER_DOMAINS=2, which re-checks this
-   fixture at two domains. *)
+   pipeline (live, every run) and the recorded fixture (cross-version). *)
 let test_ica_kernel_bits () =
   run_fixture ~file:"ica_kernel_bits.json"
     ~compute:(fun () ->
@@ -230,10 +244,6 @@ let test_ica_kernel_bits () =
       let gz_u, eg_u = Test_projection.unfused_sweep y w in
       let gz_f, eg_f =
         Test_projection.kernel_sweep (Ica_kernel.create_reference y) y w
-      in
-      let hex v = Printf.sprintf "%016Lx" (Int64.bits_of_float v) in
-      let bits_of_arr a =
-        Json.List (Array.to_list (Array.map (fun v -> Json.String (hex v)) a))
       in
       check_true "fused gz bit-identical to unfused"
         (Array.for_all2 Int64.equal
@@ -247,13 +257,32 @@ let test_ica_kernel_bits () =
         [ ("kernel", Json.String "reference");
           ("gz_bits", bits_of_arr gz_f.Mat.a);
           ("eg_bits", bits_of_arr eg_f) ])
-    ~check:(fun expected actual ->
-      let strs key j = List.map Json.to_str (Json.to_list (Json.member key j)) in
-      List.iter
-        (fun key ->
-          if strs key expected <> strs key actual then
-            Alcotest.failf "ica kernel bits drifted in %s" key)
-        [ "gz_bits"; "eg_bits" ])
+    ~check:(check_bits "ica kernel")
+
+(* The SIMD sweep, pinned to the bit.  n = 1300 spans six 256-row chunks
+   (the last one short), so the recorded bits fix both the per-chunk C
+   partials and the ordered tree that combines them.  FastICA's fixed
+   point is chaotic (see [test_ica_projection]): a last-bit change here
+   moves restart counts downstream.  The fixture is SIMD-only, so the
+   case is skipped where the SIMD path is not selected. *)
+let test_ica_simd_bits () =
+  let r = Sider_rand.Rng.create 7 in
+  let z = Test_projection.random_mat r 1300 6 1.5 in
+  let w = Test_projection.random_mat r 6 6 1.0 in
+  Ica_kernel.set_mode Ica_kernel.Force_simd;
+  let kernel =
+    Fun.protect ~finally:(fun () -> Ica_kernel.set_mode Ica_kernel.Auto)
+      (fun () -> Ica_kernel.create z)
+  in
+  if Ica_kernel.kernel_name kernel <> "simd" then Alcotest.skip ();
+  run_fixture ~file:"ica_simd_bits.json"
+    ~compute:(fun () ->
+      let gz, eg = Test_projection.kernel_sweep kernel z w in
+      Json.Obj
+        [ ("kernel", Json.String "simd");
+          ("gz_bits", bits_of_arr gz.Mat.a);
+          ("eg_bits", bits_of_arr eg) ])
+    ~check:(check_bits "SIMD ica sweep")
 
 let suite =
   [
@@ -262,4 +291,5 @@ let suite =
     case "ICA projection matches the recorded fixture" test_ica_projection;
     case "fused ICA sweep is byte-identical to the unfused pipeline"
       test_ica_kernel_bits;
+    case "SIMD ICA sweep matches the recorded bits" test_ica_simd_bits;
   ]

@@ -22,6 +22,5 @@ let () =
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("service", Test_service.suite);
-      ("par", Test_par.suite);
       ("golden", Test_golden.suite);
     ]

@@ -433,35 +433,6 @@ let test_flight_dump_on_degradation () =
            (fun l -> l <> "" && entry_field "name" l = Some "session.degradation")
            (String.split_on_char '\n' content)))
 
-(* --- domain-safe spans ---------------------------------------------------- *)
-
-let test_worker_spans_stitched () =
-  with_recording (fun r ->
-      Sider_par.Par.set_domains 2;
-      Fun.protect ~finally:(fun () -> Sider_par.Par.set_domains 1)
-      @@ fun () ->
-      Obs.with_span "fanout-root" (fun () ->
-          Sider_par.Par.parallel_for ~min:1 ~chunk:64 ~n:1024 (fun i ->
-              if i mod 256 = 0 then
-                Obs.with_span "body" (fun () -> ())));
-      Obs.flush ();
-      let spans = r.Obs.spans () in
-      let bodies = List.filter (fun s -> s.Obs.name = "body") spans in
-      Alcotest.(check int) "every body span emitted exactly once" 4
-        (List.length bodies);
-      List.iter
-        (fun (s : Obs.span) ->
-          (match List.assoc_opt "domain" s.Obs.attrs with
-           | Some (Obs.Int id) ->
-             check_true "domain id non-negative" (id >= 0)
-           | _ -> Alcotest.fail "body span missing its domain attribute");
-          check_true "body spans stitch under the submitter's open span"
-            (s.Obs.depth >= 1))
-        bodies;
-      check_true "root span emitted"
-        (List.exists (fun s -> s.Obs.name = "fanout-root") spans);
-      Alcotest.(check int) "no span leaked open" 0 (Obs.current_depth ()))
-
 (* --- determinism ---------------------------------------------------------- *)
 
 let build_solver () =
@@ -525,20 +496,6 @@ let test_solver_determinism () =
   check_identical_reports "instrumented vs disabled" r1 r3;
   check_identical_params "instrumented vs disabled" s1 s3
 
-(* The guarantee must also hold across domain counts with a live sink:
-   worker-span buffering and par telemetry are timing-side only. *)
-let test_solver_determinism_multicore () =
-  Obs.set_sink None;
-  let s1, r1 = solve_once () in
-  let s2, r2 =
-    with_recording (fun _ ->
-        Sider_par.Par.set_domains 2;
-        Fun.protect ~finally:(fun () -> Sider_par.Par.set_domains 1)
-          solve_once)
-  in
-  check_identical_reports "2 domains + sink vs 1 domain disabled" r1 r2;
-  check_identical_params "2 domains + sink vs 1 domain disabled" s1 s2
-
 let suite =
   [
     case "span nesting is well-formed" test_span_nesting;
@@ -563,10 +520,6 @@ let suite =
       test_flight_concurrent_writers;
     case "flight recorder auto-dumps on a session error"
       test_flight_dump_on_degradation;
-    case "worker spans stitch under the submitter with domain tags"
-      test_worker_spans_stitched;
     case "solver is bit-deterministic with and without sinks"
       test_solver_determinism;
-    case "solver is bit-deterministic across domain counts with a sink"
-      test_solver_determinism_multicore;
   ]

@@ -183,21 +183,6 @@ let test_sweep_failure_rolls_back () =
        (Sider_error.to_string e));
   Fault.reset ()
 
-(* --- Acceptance: ill-conditioned covariances ----------------------------------- *)
-
-let test_mvn_ill_conditioned () =
-  (* Condition numbers past float precision: log_pdf_regularized must be
-     finite whether or not the factorization went singular. *)
-  List.iter
-    (fun kappa ->
-      let cov = Fault.ill_conditioned_cov ~d:6 ~log10_kappa:kappa in
-      let t = Sider_stats.Mvn.create ~mean:(Vec.create 6) ~cov in
-      let lp =
-        Sider_stats.Mvn.log_pdf_regularized t (Vec.init 6 (fun _ -> 0.5))
-      in
-      check_true "finite log-density" (Float.is_finite lp))
-    [ 2.0; 8.0; 14.0; 18.0 ]
-
 (* --- Acceptance: adversarial constraint sets ----------------------------------- *)
 
 let test_adversarial_rowsets () =
@@ -334,7 +319,6 @@ let suite =
     case "injected NaN recovered in-place" test_injected_nan_recovered;
     case "warm-phase fault falls back to cold" test_warm_phase_fault_falls_back;
     case "sweep failure rolls session back" test_sweep_failure_rolls_back;
-    case "ill-conditioned mvn stays finite" test_mvn_ill_conditioned;
     case "adversarial rowsets never crash" test_adversarial_rowsets;
     case "view survives non-converged ICA" test_view_ica_fallback;
     case "csv constant-column policies" test_csv_constant_policies;

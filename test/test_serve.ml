@@ -11,7 +11,7 @@ module Serve = Sider_serve.Serve
 let test_exposition_grammar () =
   let metrics =
     [ Obs.Counter { name = "solver.updates"; total = 12 };
-      Obs.Gauge { name = "par.domains"; value = 2.0 };
+      Obs.Gauge { name = "gc.heap_words"; value = 2.0 };
       Obs.Histogram
         { name = "session.update_s"; count = 3; sum = 0.6; p50 = 0.1;
           p95 = 0.3; p99 = 0.305; max = 0.31 } ]
@@ -24,8 +24,8 @@ let test_exposition_grammar () =
     "counter, gauge and summary render exactly"
     [ "# TYPE sider_solver_updates_total counter";
       "sider_solver_updates_total 12";
-      "# TYPE sider_par_domains gauge";
-      "sider_par_domains 2";
+      "# TYPE sider_gc_heap_words gauge";
+      "sider_gc_heap_words 2";
       "# TYPE sider_session_update_s summary";
       "sider_session_update_s{quantile=\"0.5\"} 0.1";
       "sider_session_update_s{quantile=\"0.95\"} 0.3";

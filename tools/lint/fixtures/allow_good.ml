@@ -15,9 +15,11 @@ let tolerant_equal (a : float) (b : float) = (a = b) [@sider.allow "float-equali
 
 let counted_total (xs : float array) =
   let acc = ref 0.0 in
-  (Sider_par.Par.parallel_for ~n:(Array.length xs) (fun i ->
-       acc := !acc +. xs.(i)))
-  [@sider.allow "domain-safety"];
+  let d =
+    (Domain.spawn (fun () -> acc := Array.fold_left ( +. ) 0.0 xs))
+    [@sider.allow "domain-safety"]
+  in
+  Domain.join d;
   !acc
 
 let observe_slow (xs : float array) =

@@ -1,24 +1,25 @@
-(* [domain-safety] negative fixture: disjoint per-index writes, closure-
-   local accumulators, an ordered reduction and Atomic state — all of
-   these are the sanctioned patterns and must not be flagged. *)
+(* [domain-safety] negative fixture: closure-local accumulators returned
+   through Domain.join, disjoint per-index writes, Atomic state and a
+   pure string builder — the sanctioned patterns, none of them flagged. *)
 
 let scale_into (dst : float array) (src : float array) =
-  Sider_par.Par.parallel_for ~n:(Array.length src) (fun i ->
-      dst.(i) <- 2.0 *. src.(i))
+  Domain.spawn (fun () ->
+      for i = 0 to Array.length src - 1 do
+        dst.(i) <- 2.0 *. src.(i)
+      done)
 
-let chunk_sum (xs : float array) =
-  match
-    Sider_par.Par.parallel_reduce_chunks ~n:(Array.length xs)
-      ~part:(fun lo hi ->
+let spawned_sum (xs : float array) =
+  let d =
+    Domain.spawn (fun () ->
         let s = ref 0.0 in
-        for k = lo to hi - 1 do
+        for k = 0 to Array.length xs - 1 do
           s := !s +. xs.(k)
         done;
         !s)
-      ~combine:( +. ) ()
-  with
-  | None -> 0.0
-  | Some total -> total
+  in
+  Domain.join d
 
-let atomic_count (hits : int Atomic.t) n =
-  Sider_par.Par.parallel_for ~n (fun _ -> Atomic.incr hits)
+let atomic_count (hits : int Atomic.t) =
+  Domain.spawn (fun () -> Atomic.incr hits)
+
+let label n = Domain.spawn (fun () -> Printf.sprintf "worker-%d" n)

@@ -1,19 +1,21 @@
 (* sider-lint: typed-AST static analysis for the sider reproduction.
 
    The two hardest guarantees of this codebase — bit-identical solver
-   results at any domain count, and structured-error discipline in the
-   numerical kernels — are enforced dynamically by the test suite
-   (SIDER_DOMAINS=2 replays, fault injection).  This tool proves the
-   cheap-to-prove half statically, at build time, by walking the .cmt
-   typed ASTs that dune already emits and enforcing four rule families:
+   results, and structured-error discipline in the numerical kernels —
+   are enforced dynamically by the test suite (golden fixtures, fault
+   injection).  This tool proves the cheap-to-prove half statically, at
+   build time, by walking the .cmt typed ASTs that dune already emits
+   and enforcing four rule families:
 
    - [determinism]      (R1) ambient-nondeterminism primitives (wall
      clock, global PRNG, hash-order Hashtbl folds) are banned outside
      lib/obs, lib/serve, bench/ and bin/.
-   - [domain-safety]    (R2) closures passed to Par.parallel_for{,_chunks}
-     / parallel_reduce{,_chunks} must not write captured mutable state,
-     unless it is Atomic, Mutex-guarded, Domain.DLS, or an array cell
-     indexed by the loop variable (heuristic write-race detector).
+   - [domain-safety]    (R2) closures passed to Domain.spawn must not
+     write captured mutable state, unless it is Atomic, Mutex-guarded,
+     Domain.DLS, or an array cell indexed by a closure-local binding
+     (heuristic write-race detector); nor may they call Printf / Format /
+     Alcotest, whose shared channels and formatters are not domain-safe
+     (the string builders sprintf / asprintf are exempt).
    - [error-discipline] (R3a) in lib/linalg, lib/maxent, lib/stats and
      lib/projection, raises must go through Sider_robust.Sider_error:
      bare failwith / invalid_arg / assert false are flagged.
@@ -239,8 +241,8 @@ let lock_annotation (attrs : Parsetree.attributes) : string option =
 (* [Path.name] on idents resolved through the default [Stdlib] open
    yields "Stdlib.Random.int"; strip the prefix so match tables read
    naturally.  Module aliases keep their alias name in the path (e.g.
-   [module Par = Sider_par.Par] callers yield "Par.parallel_for"), which
-   the suffix matches below are written for. *)
+   [module Obs = Sider_obs.Obs] callers yield "Obs.count"), which the
+   suffix matches below are written for. *)
 let norm_path p =
   let n = Path.name p in
   match String.index_opt n '(' with
@@ -306,12 +308,20 @@ let is_global_random nm =
 (* R1: hash-layout-dependent iteration. *)
 let hashtbl_iteration = [ "Hashtbl.fold"; "Hashtbl.iter"; "Hashtbl.hash" ]
 
-(* R2: the deterministic fan-out entry points of lib/par. *)
-let par_entries =
-  [ "Par.parallel_for"; "Par.parallel_for_chunks"; "Par.parallel_reduce";
-    "Par.parallel_reduce_chunks" ]
+(* R2: the one way to run a closure on another domain. *)
+let is_spawn nm = ends_with_any [ "Domain.spawn" ] nm
 
-let is_par_entry nm = ends_with_any par_entries nm
+(* R2: modules whose printing goes through shared channel buffers or a
+   shared formatter (Alcotest reports through Format).  Their pure string
+   builders allocate a private buffer per call and stay allowed. *)
+let print_modules = [ "Printf"; "Format"; "Alcotest" ]
+
+let string_builders = [ "sprintf"; "ksprintf"; "asprintf"; "kasprintf" ]
+
+let is_shared_printer nm =
+  match List.rev (split_dots nm) with
+  | f :: m :: _ -> List.mem m print_modules && not (List.mem f string_builders)
+  | _ -> false
 
 (* R2: stdlib mutators whose first argument is the mutated structure. *)
 let hashtbl_mutators =
@@ -365,7 +375,7 @@ let loop_hofs =
     "Seq.iter"; "Seq.map"; "String.iter"; "String.iteri"; "Hashtbl.iter";
     "Hashtbl.fold"; "Queue.iter" ]
 
-let is_loop_hof nm = ends_with_any loop_hofs nm || is_par_entry nm
+let is_loop_hof nm = ends_with_any loop_hofs nm
 
 (* ------------------------------------------------------------------ *)
 (* Type tests                                                          *)
@@ -380,16 +390,15 @@ let is_float_type ty =
 (* Traversal state                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type par_ctx = {
+type spawn_ctx = {
   locals : (string, unit) Hashtbl.t;
-      (* Ident.unique_name of everything bound inside the closure: the
-         loop parameter(s) and any let / match / fun / for binders.
-         Anything not in here is captured from the enclosing scope. *)
-  label : string; (* entry point name, for messages *)
+      (* Ident.unique_name of everything bound inside the closure: its
+         parameter(s) and any let / match / fun / for binders.  Anything
+         not in here is captured from the enclosing scope. *)
 }
 
 let cur_policy = ref { det = false; err = false; obs = false; alloc = false }
-let par_context : par_ctx option ref = ref None
+let spawn_context : spawn_ctx option ref = ref None
 let loop_depth = ref 0
 
 let add_local ctx id = Hashtbl.replace ctx.locals (Ident.unique_name id) ()
@@ -416,7 +425,8 @@ let expr_captured ctx e =
   | None -> None
 
 (* Does [e] mention any binding local to the closure?  Used to accept
-   captured-array writes whose index is derived from the loop variable. *)
+   captured-array writes whose index is derived from a closure-local
+   loop variable. *)
 let mentions_local ctx (e : Typedtree.expression) =
   let found = ref false in
   let it =
@@ -437,8 +447,8 @@ let mentions_local ctx (e : Typedtree.expression) =
 
 (* Mutex heuristic: if the closure body manipulates a Mutex anywhere, its
    writes are assumed to be lock-protected and R2 stands down for the
-   whole closure.  Coarse, but locks inside deterministic fan-outs are
-   rare enough that a human already reviews them. *)
+   whole closure.  Coarse, but locks inside spawned closures are rare
+   enough that a human already reviews them. *)
 let uses_mutex (e : Typedtree.expression) =
   let found = ref false in
   let it =
@@ -505,8 +515,8 @@ let check_ident ~loc nm =
          "allocating '%s' inside a loop in a hot numerical module; write \
           into a preallocated buffer with its '_into' sibling" nm)
 
-(* R2 write checks, active only inside a Par closure. *)
-let check_par_write ctx (e : Typedtree.expression) =
+(* R2 checks, active only inside a Domain.spawn closure. *)
+let check_spawn_body ctx (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
     let nm = norm_path p in
@@ -518,18 +528,24 @@ let check_par_write ctx (e : Typedtree.expression) =
         | Some name ->
           report ~loc:e.exp_loc ~rule:r_dom
             (Printf.sprintf
-               "%s '%s' captured by a %s closure; use Atomic, a Mutex, \
-                Domain.DLS, or per-index disjoint writes" what name ctx.label)
+               "%s '%s' captured by a Domain.spawn closure; use Atomic, a \
+                Mutex, Domain.DLS, or per-index disjoint writes" what name)
         | None -> ())
       | [] -> ()
     in
-    if nm = ":=" then flag_first "assignment to ref"
+    if is_shared_printer nm then
+      report ~loc:e.exp_loc ~rule:r_dom
+        (Printf.sprintf
+           "'%s' inside a Domain.spawn closure; Printf / Format / Alcotest \
+            output is not domain-safe — return the result through \
+            Domain.join and report it from the spawning domain" nm)
+    else if nm = ":=" then flag_first "assignment to ref"
     else if nm = "incr" || nm = "decr" then flag_first "increment of ref"
     else if ends_with_any hashtbl_mutators nm then flag_first "mutation of Hashtbl"
     else if is_buffer_mutator nm then flag_first "mutation of Buffer"
     else if ends_with_any array_setters nm then begin
       (* a.(i) <- v: safe when the index depends on something bound in
-         the closure (the loop variable or a derivation of it). *)
+         the closure (a loop variable or a derivation of it). *)
       match explicit with
       | arr :: rest when List.length rest >= 2 -> (
         let indices = List.filteri (fun i _ -> i < List.length rest - 1) rest in
@@ -537,9 +553,10 @@ let check_par_write ctx (e : Typedtree.expression) =
         | Some name when not (List.exists (mentions_local ctx) indices) ->
           report ~loc:e.exp_loc ~rule:r_dom
             (Printf.sprintf
-               "write to captured array '%s' at a loop-invariant index \
-                inside a %s closure; every iteration races on the same cell"
-               name ctx.label)
+               "write to captured array '%s' at an index fixed outside a \
+                Domain.spawn closure; any other domain writing that cell \
+                races with it"
+               name)
         | _ -> ())
       | _ -> ()
     end
@@ -548,9 +565,10 @@ let check_par_write ctx (e : Typedtree.expression) =
     | Some name ->
       report ~loc:e.exp_loc ~rule:r_dom
         (Printf.sprintf
-           "mutation of field '%s' of captured '%s' inside a %s closure; \
-            use Atomic, a Mutex, Domain.DLS, or per-index disjoint state"
-           lbl.lbl_name name ctx.label)
+           "mutation of field '%s' of captured '%s' inside a Domain.spawn \
+            closure; use Atomic, a Mutex, Domain.DLS, or per-index \
+            disjoint state"
+           lbl.lbl_name name)
     | None -> ())
   | _ -> ()
 
@@ -607,8 +625,8 @@ let visit_expr sub (e : Typedtree.expression) =
               "polymorphic '%s' on float operands (NaN hazard); use \
                Float.equal or an explicit tolerance" nm)
    | _ -> ());
-  (* R2: writes inside a Par closure. *)
-  (match !par_context with
+  (* R2: writes and printing inside a Domain.spawn closure. *)
+  (match !spawn_context with
    | Some ctx ->
      (* Track closure-local binders before descending, so scoping is an
         over-approximation (fine for suppressing false positives). *)
@@ -624,9 +642,9 @@ let visit_expr sub (e : Typedtree.expression) =
         List.iter (fun c -> add_pattern_locals ctx c.Typedtree.c_lhs) cases
       | Texp_for (id, _, _, _, _, _) -> add_local ctx id
       | _ -> ());
-     check_par_write ctx e
+     check_spawn_body ctx e
    | None -> ());
-  (* Structured descent for loop context and Par-closure entry. *)
+  (* Structured descent for loop context and spawn-closure entry. *)
   match e.exp_desc with
   | Texp_while (cond, body) ->
     sub.Tast_iterator.expr sub cond;
@@ -640,35 +658,22 @@ let visit_expr sub (e : Typedtree.expression) =
     Fun.protect ~finally:(fun () -> decr loop_depth) (fun () ->
         sub.Tast_iterator.expr sub body)
   | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args)
-    when is_par_entry (norm_path p) ->
-    (* Each function-literal argument is a parallel body: lint it with a
-       fresh capture context (and as a loop body for R4). *)
+    when is_spawn (norm_path p) ->
+    (* A function-literal argument runs on the new domain: lint it with a
+       fresh capture context, unless it takes a Mutex (then it is still
+       visited for the other rules). *)
     sub.Tast_iterator.expr sub fn;
     List.iter
       (fun (_, arg) ->
         match arg with
-        | Some a when is_function_literal a ->
-          let ctx =
-            { locals = Hashtbl.create 32; label = Path.last p }
-          in
+        | Some a when is_function_literal a && not (uses_mutex a) ->
+          let ctx = { locals = Hashtbl.create 32 } in
           enter_function_spine ctx a;
-          if not (uses_mutex a) then begin
-            let saved = !par_context in
-            par_context := Some ctx;
-            incr loop_depth;
-            Fun.protect
-              ~finally:(fun () ->
-                par_context := saved;
-                decr loop_depth)
-              (fun () -> sub.Tast_iterator.expr sub a)
-          end
-          else begin
-            (* Mutex-guarded: still visit for the other rules. *)
-            incr loop_depth;
-            Fun.protect
-              ~finally:(fun () -> decr loop_depth)
-              (fun () -> sub.Tast_iterator.expr sub a)
-          end
+          let saved = !spawn_context in
+          spawn_context := Some ctx;
+          Fun.protect
+            ~finally:(fun () -> spawn_context := saved)
+            (fun () -> sub.Tast_iterator.expr sub a)
         | Some a -> sub.Tast_iterator.expr sub a
         | None -> ())
       args
@@ -811,7 +816,7 @@ let place (loc : Location.t) =
   (file, pos.Lexing.pos_lnum)
 
 (* Directories where every lock acquisition must carry [@sider.lock]. *)
-let must_annotate_dirs = [ "lib/serve/"; "lib/obs/"; "lib/par/" ]
+let must_annotate_dirs = [ "lib/serve/"; "lib/obs/" ]
 
 let must_annotate file =
   !fixture_mode || starts_with_any must_annotate_dirs file
@@ -1617,7 +1622,7 @@ let file_level_allows (str : Typedtree.structure) =
 let lint_structure ~src (str : Typedtree.structure) =
   cur_file := src;
   cur_policy := policy_of_file src;
-  par_context := None;
+  spawn_context := None;
   loop_depth := 0;
   allow_stack := [ file_level_allows str ];
   linter.structure linter str
@@ -2167,7 +2172,7 @@ let json_escape s =
 let rule_descriptions =
   [
     (r_det, "Wall-clock / global-RNG use inside deterministic core code");
-    (r_dom, "Domain-unsafe shared-state access inside a parallel region");
+    (r_dom, "Domain-unsafe shared-state access or printing inside a Domain.spawn closure");
     (r_err, "Raw exception raised where Sider_error is required");
     (r_flt, "Float equality comparison in numeric code");
     (r_obs, "Unlabeled observability counter or histogram update");
