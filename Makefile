@@ -61,6 +61,10 @@ verify:
 # dumps; the final leg pulls a trace id back out of it and greps the
 # whole _artifacts/flight/ directory with `doctor --trace`, proving the
 # id round-trips from generator to log to the correlation tool.
+# The last leg runs the one HTTP endpoint out of process: `sider api`
+# on an ephemeral port (read back from its banner), polled on /healthz
+# until it answers, scraped once by `sider top`, then stopped with
+# SIGINT (the drain path).
 # stderr — including any crash-forensics flight-recorder dumps — lands
 # in _artifacts/flight/, which CI uploads as an artifact on failure.
 service-smoke:
@@ -82,6 +86,21 @@ service-smoke:
 	      _artifacts/flight/service-smoke-access.jsonl | head -n 1)"; \
 	[ -n "$$T" ] || { echo "service-smoke: empty access log" >&2; exit 1; }; \
 	dune exec bin/sider_cli.exe -- doctor --trace "$$T" _artifacts/flight
+	dune build bin/sider_cli.exe
+	S=_build/default/bin/sider_cli.exe; O=_artifacts/flight/service-smoke-api; \
+	$$S api --port 0 > $$O.out 2>> _artifacts/flight/service-smoke.stderr & \
+	PID=$$!; trap 'kill -INT $$PID 2>/dev/null' EXIT; P=; \
+	for i in $$(seq 100); do \
+	  P="$$(sed -n 's|^session API on http://127.0.0.1:\([0-9]*\).*|\1|p' $$O.out)"; \
+	  [ -n "$$P" ] && curl -fsS "http://127.0.0.1:$$P/healthz" > /dev/null \
+	    2>&1 && break; \
+	  P=; sleep 0.1; \
+	done; \
+	[ -n "$$P" ] || { echo "service-smoke: sider api never became healthy" >&2; exit 1; }; \
+	$$S top --port "$$P" --count 1 > $$O.top; \
+	grep -q -- '-- scrape 1 @' $$O.top \
+	  || { echo "service-smoke: sider top did not scrape" >&2; exit 1; }; \
+	kill -INT $$PID && wait $$PID && trap - EXIT
 
 # Full service load benchmark: 1000 analysts through the journaled
 # session service over keep-alive connections, with TTL eviction and

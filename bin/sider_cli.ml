@@ -8,10 +8,10 @@
      replay       reload a saved session snapshot and continue
      export       generate a built-in dataset as CSV
      runtime      run a single OPTIM/ICA timing cell (Table II)
+     doctor       health-check a dataset, journal or trace id
      trace        replay a session with the observability stderr sink on
      convergence  plot the per-sweep solver convergence series
-     serve        run feedback rounds with a Prometheus /metrics endpoint
-     api          run the multi-tenant session service (JSON API + WAL)
+     api          run the session service (JSON API + WAL, /metrics, /healthz)
      load         drive concurrent analysts against the session API
      top          poll a session API's /metrics and render a dashboard
 
@@ -573,55 +573,6 @@ let convergence_cmd =
     Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
           $ cutoff_t)
 
-(* --- serve ------------------------------------------------------------------------ *)
-
-let serve_cmd =
-  let port_t =
-    Arg.(value & opt int 9100 & info [ "metrics-port" ] ~docv:"PORT"
-           ~doc:"TCP port for the Prometheus text exposition endpoint \
-                 (GET /metrics, GET /healthz); 0 picks an ephemeral port.")
-  in
-  let rounds_t =
-    Arg.(value & opt int 0 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Feedback rounds to run before exiting; 0 (default) runs \
-                 until interrupted.")
-  in
-  let run () dataset seed label_column method_ port rounds =
-    let ds = load_dataset ~seed ~label_column dataset in
-    (* /metrics serves the registry, which only fills while the layer is
-       active; a null sink turns recording on without trace output
-       (unless --trace-json / SIDER_TRACE already installed one). *)
-    if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
-    let server = Sider_serve.Serve.start ~port () in
-    Fun.protect ~finally:(fun () -> Sider_serve.Serve.stop server)
-    @@ fun () ->
-    Printf.printf
-      "serving http://127.0.0.1:%d/metrics (liveness on /healthz)\n%!"
-      (Sider_serve.Serve.port server);
-    print_endline (Dataset.describe ds);
-    let round = ref 0 in
-    while rounds = 0 || !round < rounds do
-      incr round;
-      let session = Session.create ~seed:(seed + !round) ~method_ ds in
-      Session.add_margin_constraint session;
-      ignore (Session.update_background session);
-      ignore (Session.recompute_view session);
-      Session.add_one_cluster_constraint session;
-      ignore (Session.update_background session);
-      ignore (Session.recompute_view session);
-      (* One registry lookup per 0.5 s serve round — not a hot loop. *)
-      Obs.count "serve.rounds" [@sider.allow "obs-hygiene"];
-      Printf.printf "round %d done\n%!" !round;
-      if rounds = 0 || !round < rounds then Unix.sleepf 0.5
-    done
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run continuous feedback rounds on a dataset while exposing \
-             the live metrics registry as a Prometheus text endpoint.")
-    Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
-          $ method_t $ port_t $ rounds_t)
-
 (* --- api -------------------------------------------------------------------------- *)
 
 let api_cmd =
@@ -803,13 +754,6 @@ let load_cmd =
     Arg.(value & opt string "pr7" & info [ "label" ] ~docv:"LABEL"
            ~doc:"Label embedded in the result JSON.")
   in
-  let no_keepalive_t =
-    Arg.(value & flag
-         & info [ "no-keepalive" ]
-             ~doc:"One connection per request (Connection: close), as \
-                   before keep-alive existed — useful as a latency \
-                   baseline.")
-  in
   let read_baseline path =
     try
       let ic = open_in path in
@@ -826,8 +770,7 @@ let load_cmd =
     with _ -> None
   in
   let run () sessions concurrency target data_dir out rows seed persona ttl
-      compact keepalive_requests idle_timeout baseline label no_keepalive
-      access_log =
+      compact keepalive_requests idle_timeout baseline label access_log =
     if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
     let access_oc = open_access_log access_log in
     let own, port =
@@ -883,15 +826,7 @@ let load_cmd =
       (* One persistent connection per analyst thread: latency is
          measured in keep-alive steady state, not dominated by per-
          request connect/teardown. *)
-      let client =
-        if no_keepalive then None
-        else Some (Sider_serve.Http.client ~port ())
-      in
-      let transport ?headers ?body ~meth path =
-        match client with
-        | Some c -> Sider_serve.Http.client_request ?headers ?body c ~meth path
-        | None -> Sider_serve.Http.request ?headers ?body ~meth ~port path
-      in
+      let client = Sider_serve.Http.client ~port () in
       (* One request with shed-aware retry; returns the successful
          response, or None after exhausting the budget.  Every attempt
          of one logical call shares a trace id, so the access log shows
@@ -903,10 +838,12 @@ let load_cmd =
             [ (Sider_serve.Http.trace_response_header, trace) ]
           in
           let t0 = Unix.gettimeofday () in
-          match transport ~headers ?body ~meth path with
+          match
+            Sider_serve.Http.client_request ~headers ?body client ~meth path
+          with
           | Error _ ->
             bump transport_retries;
-            Option.iter Sider_serve.Http.client_close client;
+            Sider_serve.Http.client_close client;
             Thread.delay (0.01 *. float_of_int (1 lsl attempt));
             call ~trace ?body ~meth path (attempt + 1)
           | Ok resp when resp.Sider_serve.Http.status = 429
@@ -954,7 +891,7 @@ let load_cmd =
         end
       in
       Fun.protect
-        ~finally:(fun () -> Option.iter Sider_serve.Http.client_close client)
+        ~finally:(fun () -> Sider_serve.Http.client_close client)
         next_session
     in
     let t0 = Unix.gettimeofday () in
@@ -1038,7 +975,7 @@ let load_cmd =
            ("label", Json.String label);
            ("persona",
             Json.String (Sider_serve.Persona.to_string persona));
-           ("keepalive", Json.Bool (not no_keepalive));
+           ("keepalive", Json.Bool true);
            ("ttl_s", Json.Number ttl);
            ("compact_events", Json.Number (float_of_int compact));
            ("sessions", Json.Number (float_of_int sessions));
@@ -1060,13 +997,12 @@ let load_cmd =
     Printf.printf
       "%d sessions via %d threads in %.2fs: %d ok (%.0f rps), %d shed \
        (429), %d shed (503), %d failure(s)\n\
-       persona %s, keep-alive %s\n\
+       persona %s, keep-alive on\n\
        latency p50 %.4fs  p95 %.4fs  p99 %.4fs  max %.4fs\n"
       sessions concurrency wall n_req
       (float_of_int n_req /. wall)
       !shed_429 !shed_503 !failures
       (Sider_serve.Persona.to_string persona)
-      (if no_keepalive then "off" else "on")
       p50 p95 p99 mx;
     (match slowest with
      | [] -> ()
@@ -1120,7 +1056,7 @@ let load_cmd =
     Term.(const run $ obs_setup_t $ sessions_t $ concurrency_t $ target_t
           $ data_dir_t $ out_t $ rows_t $ seed_t $ persona_t $ ttl_t
           $ compact_t $ keepalive_requests_t $ idle_timeout_t $ baseline_t
-          $ label_t $ no_keepalive_t $ access_log_t)
+          $ label_t $ access_log_t)
 
 (* --- top -------------------------------------------------------------------------- *)
 
@@ -1239,7 +1175,7 @@ let main =
     (Cmd.info "sider" ~version:"1.0.0" ~doc)
     [ datasets_cmd; view_cmd; explore_cmd; repl_cmd; replay_cmd;
       export_cmd; runtime_cmd; doctor_cmd; trace_cmd; convergence_cmd;
-      serve_cmd; api_cmd; load_cmd; top_cmd ]
+      api_cmd; load_cmd; top_cmd ]
 
 (* Structured engine errors become one-line diagnostics with distinct
    exit codes instead of an OCaml backtrace: 2 for a diagnosed numerical

@@ -1,7 +1,7 @@
-(* Minimal HTTP/1.1 message layer shared by the metrics endpoint, the
-   session service and the load generator: request parsing with hard
-   limits and receive-timeout awareness, response writing, and a small
-   blocking client.  Connections are persistent (keep-alive) on both
+(* Minimal HTTP/1.1 message layer shared by the session service and
+   the load generator: request parsing with hard limits and
+   receive-timeout awareness, response writing, and a small blocking
+   client.  Connections are persistent (keep-alive) on both
    sides: the server reads Content-Length-delimited requests in a loop
    through a buffered [reader] (so pipelined bytes are never lost
    between requests), and the [client] reuses one socket across
@@ -145,21 +145,33 @@ let connection_is_close headers =
 
 let wants_close (req : request) = connection_is_close req.headers
 
-(* Read from [fd] (starting from [initial], bytes already read past the
-   previous message on this connection) until the header block is
-   complete, then exactly the declared body.  The caller is expected to
-   have set [SO_RCVTIMEO]; a timed-out [read] surfaces as [Timeout]
-   (the 408 path), EOF before a complete message as [Closed], and
-   oversized headers/bodies as [Too_large] — a slow or malicious client
-   can cost at most one worker's timeout, never unbounded memory.  On
-   success also returns the leftover bytes beyond the parsed request
-   (the start of a pipelined successor). *)
-let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
+(* --- buffered per-connection reader ---------------------------------------- *)
+
+type reader = {
+  r_fd : Unix.file_descr;
+  mutable r_pending : string;
+}
+
+let reader fd = { r_fd = fd; r_pending = "" }
+
+let reader_has_pending r = r.r_pending <> ""
+
+(* Read from the connection (starting from the bytes already read past
+   the previous message) until the header block is complete, then
+   exactly the declared body.  The caller is expected to have set
+   [SO_RCVTIMEO]; a timed-out [read] surfaces as [Timeout] (the 408
+   path), EOF before a complete message as [Closed], and oversized
+   headers/bodies as [Too_large] — a slow or malicious client can cost
+   at most one worker's timeout, never unbounded memory.  On success the
+   leftover bytes beyond the parsed request (the start of a pipelined
+   successor) stay pending; on error they are dropped. *)
+let read_request_buffered ?(max_body = 8 * 1024 * 1024) r =
   let chunk = Bytes.create 8192 in
   let acc = Buffer.create 1024 in
-  Buffer.add_string acc initial;
+  Buffer.add_string acc r.r_pending;
+  r.r_pending <- "";
   let read_more () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    match Unix.read r.r_fd chunk 0 (Bytes.length chunk) with
     | 0 -> `Eof
     | n -> Buffer.add_subbytes acc chunk 0 n; `More
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -222,38 +234,12 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
                 Result.map
                   (fun body ->
                     let total = body_start + len in
-                    let leftover =
+                    r.r_pending <-
                       String.sub (Buffer.contents acc) total
-                        (Buffer.length acc - total)
-                    in
-                    ({ meth; path; query; headers; body }, leftover))
+                        (Buffer.length acc - total);
+                    { meth; path; query; headers; body })
                   (read_body ())))
         | _ -> Error (Malformed ("bad request line: " ^ request_line))))
-
-let read_request ?max_body fd =
-  Result.map fst (read_request_from ?max_body ~initial:"" fd)
-
-(* --- buffered per-connection reader ---------------------------------------- *)
-
-type reader = {
-  r_fd : Unix.file_descr;
-  mutable r_pending : string;
-}
-
-let reader fd = { r_fd = fd; r_pending = "" }
-
-let reader_fd r = r.r_fd
-
-let reader_has_pending r = r.r_pending <> ""
-
-let read_request_buffered ?max_body r =
-  match read_request_from ?max_body ~initial:r.r_pending r.r_fd with
-  | Ok (req, leftover) ->
-    r.r_pending <- leftover;
-    Ok req
-  | Error e ->
-    r.r_pending <- "";
-    Error e
 
 (* --- client ---------------------------------------------------------------- *)
 

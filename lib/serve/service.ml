@@ -416,77 +416,79 @@ let slo_burn_gauges t =
    | _ -> ());
   snap
 
+let json_type = "application/json"
+
+let json (status, body) = (status, json_type, body)
+
 let route t ctx (req : Http.request) ~deadline_at =
   match (req.meth, segments req.path) with
   | "GET", [ "healthz" ] ->
     if Slo.degraded t.slo then
-      (503, err_body "slo-degraded"
-         "error budget burning above threshold in both windows")
-    else (200, "ok\n")
-  | "GET", [ "slo" ] -> (200, Slo.snapshot_to_json (Slo.snapshot t.slo))
+      json (503, err_body "slo-degraded"
+              "error budget burning above threshold in both windows")
+    else (200, "text/plain; charset=utf-8", "ok\n")
+  | "GET", [ "slo" ] -> json (200, Slo.snapshot_to_json (Slo.snapshot t.slo))
   | "GET", [ "metrics" ] ->
     ignore (slo_burn_gauges t);
-    (200, Serve.exposition (Obs.metrics_snapshot ()))
-  | "POST", [ "sessions" ] -> handle_create t ctx req
-  | "GET", [ "sessions" ] ->
     ( 200,
-      Json.to_string
-        (Json.Obj
-           [ ("count",
-              Json.Number (float_of_int (Registry.count t.registry)));
-             ("resident",
-              Json.Number
-                (float_of_int (Registry.resident_count t.registry)));
-             ("sessions",
-              Json.List
-                (List.map (fun id -> Json.String id) (Registry.ids t.registry)))
-           ]) )
+      "text/plain; version=0.0.4; charset=utf-8",
+      Serve.exposition (Obs.metrics_snapshot ()) )
+  | "POST", [ "sessions" ] -> json (handle_create t ctx req)
+  | "GET", [ "sessions" ] ->
+    json
+      ( 200,
+        Json.to_string
+          (Json.Obj
+             [ ("count",
+                Json.Number (float_of_int (Registry.count t.registry)));
+               ("resident",
+                Json.Number
+                  (float_of_int (Registry.resident_count t.registry)));
+               ("sessions",
+                Json.List
+                  (List.map (fun id -> Json.String id)
+                     (Registry.ids t.registry))) ]) )
   | "GET", [ "sessions"; id ] ->
-    with_entry t id (fun entry ->
+    json @@ with_entry t id (fun entry ->
         (200, Json.to_string (session_summary ~trace:ctx.rc_trace entry)))
   | "DELETE", [ "sessions"; id ] ->
     (match Registry.remove t.registry id with
-     | Some _ -> (204, "")
-     | None -> (404, err_body "not-found" ("no session " ^ id)))
+     | Some _ -> json (204, "")
+     | None -> json (404, err_body "not-found" ("no session " ^ id)))
   | "POST", [ "sessions"; id; "constraints" ] ->
-    handle_constraint t ctx req id
+    json (handle_constraint t ctx req id)
   | "POST", [ "sessions"; id; "update" ] ->
-    handle_update t ctx req id ~deadline_at
-  | "POST", [ "sessions"; id; "view" ] -> handle_view t ctx req id
+    json (handle_update t ctx req id ~deadline_at)
+  | "POST", [ "sessions"; id; "view" ] -> json (handle_view t ctx req id)
   | "GET", [ "sessions"; id; "projection" ] ->
-    with_entry t id (fun entry ->
+    json @@ with_entry t id (fun entry ->
         let s = Registry.session ~trace:ctx.rc_trace entry in
         let t0 = Obs.now_ns () in
         let body = Json.to_string (projection_json s) in
         Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
         (200, body))
   | _, ("sessions" :: _ | [ "healthz" ] | [ "metrics" ] | [ "slo" ]) ->
-    (405, err_body "method-not-allowed" (req.meth ^ " " ^ req.path))
-  | _ -> (404, err_body "not-found" req.path)
+    json (405, err_body "method-not-allowed" (req.meth ^ " " ^ req.path))
+  | _ -> json (404, err_body "not-found" req.path)
 
 let dispatch t ctx (req : Http.request) ~deadline_at =
   try route t ctx req ~deadline_at with
-  | Reply (status, body) -> (status, body)
-  | Sider_error.Error e -> (status_of_error e, body_of_error e)
-  | Json.Parse_error m -> (400, err_body "malformed-json" m)
-  | Not_found -> (400, err_body "bad-request" "missing required field")
-  | Invalid_argument m -> (400, err_body "bad-request" m)
-  | Failure m -> (400, err_body "bad-request" m)
+  | Reply (status, body) -> json (status, body)
+  | Sider_error.Error e -> json (status_of_error e, body_of_error e)
+  | Json.Parse_error m -> json (400, err_body "malformed-json" m)
+  | Not_found -> json (400, err_body "bad-request" "missing required field")
+  | Invalid_argument m -> json (400, err_body "bad-request" m)
+  | Failure m -> json (400, err_body "bad-request" m)
 
 (* --- connection handling --------------------------------------------------- *)
 
-let respond_status ?(keep_alive = false) ?trace ?(flight_on_5xx = true) fd
-    status body =
+let respond_status ?(keep_alive = false) ?trace ?(flight_on_5xx = true)
+    ?(content_type = json_type) fd status body =
   let headers = if status = 429 || status = 503 then [ ("Retry-After", "1") ] else [] in
   let headers =
     match trace with
     | Some id -> (Http.trace_response_header, id) :: headers
     | None -> headers
-  in
-  let content_type =
-    if status = 200 && (body = "ok\n" || String.length body > 0 && body.[0] = '#')
-    then "text/plain; version=0.0.4"
-    else "application/json"
   in
   if status >= 500 then begin
     let tag = match trace with Some id -> id ^ " " | None -> "" in
@@ -610,12 +612,12 @@ let serve_one t conn =
          let route = route_label req.Http.path in
          let ctx = make_ctx trace in
          ctx.rc_tenant <- tenant_of_path req.Http.path;
-         let status, body =
+         let status, content_type, body =
            Obs.with_span "serve.request"
              ~attrs:
                [ ("trace", Obs.Str trace); ("route", Obs.Str route) ]
            @@ fun () ->
-           let ((status, _) as r) = dispatch t ctx req ~deadline_at in
+           let ((status, _, _) as r) = dispatch t ctx req ~deadline_at in
            Obs.span_attr "status" (Obs.Int status);
            r
          in
@@ -628,7 +630,8 @@ let serve_one t conn =
          (* A degraded health check must not itself trigger a flight
             dump — probes poll it every few seconds. *)
          respond_status ~keep_alive:keep ~trace
-           ~flight_on_5xx:(route <> "healthz") conn.c_fd status body;
+           ~flight_on_5xx:(route <> "healthz") ~content_type conn.c_fd status
+           body;
          finish t ~t0 ~queue_s ~ctx ~route ~meth:req.Http.meth
            ~path:req.Http.path ~status
            ~slo:(not (observability_route route));

@@ -3,6 +3,8 @@
 
     {2 Endpoints}
 
+    Every response body is [application/json] unless noted otherwise.
+
     - [POST /sessions] — body [{"dataset": {...}, "seed"?, "standardize"?,
       "jitter"?, "method"?}] (dataset in the {!Sider_core.Persist}
       snapshot schema).  201 with a session summary.
@@ -19,13 +21,16 @@
     - [GET /sessions/:id/projection] — current view: axis labels,
       scores, every point with its paired background sample.
     - [DELETE /sessions/:id] — 204; the journal file is deleted too.
-    - [GET /metrics] — as in {!Serve}, plus the labeled service
-      families ([serve.request_s{route,status}], [serve.stage_s{stage}]
-      for queue/journal/solve/project, [serve.tenant_requests{tenant}]
-      with {!Sider_obs.Obs}'s top-K + ["other"] cardinality bound) and
-      the [serve.slo_burn_5m] / [serve.slo_burn_1h] gauges.
-    - [GET /healthz] — ["ok\n"], or [503 {"error":"slo-degraded"}] when
-      the SLO is burning in both windows (see {!Slo}).
+    - [GET /metrics] — {!Serve.exposition} of the registry as
+      [text/plain; version=0.0.4; charset=utf-8], including the labeled
+      service families ([serve.request_s{route,status}],
+      [serve.stage_s{stage}] for queue/journal/solve/project,
+      [serve.tenant_requests{tenant}] with {!Sider_obs.Obs}'s top-K +
+      ["other"] cardinality bound) and the [serve.slo_burn_5m] /
+      [serve.slo_burn_1h] gauges.
+    - [GET /healthz] — ["ok\n"] as [text/plain; charset=utf-8], or
+      [503 {"error":"slo-degraded"}] when the SLO is burning in both
+      windows (see {!Slo}).
     - [GET /slo] — the full {!Slo.snapshot} as JSON.
 
     {2 Tracing}

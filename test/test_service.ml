@@ -251,7 +251,7 @@ let test_restart_recovers_sessions () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir)
   @@ fun () ->
-  let id, events, constraints =
+  let svc, id, events, constraints =
     with_service ~data_dir:dir @@ fun svc ->
     let id = create_session svc in
     status_is "constraint" 200
@@ -259,11 +259,15 @@ let test_restart_recovers_sessions () =
     status_is "update" 200
       (req svc ~body:update_body "POST" ("/sessions/" ^ id ^ "/update"));
     let summary = json_of (req svc "GET" ("/sessions/" ^ id)) in
-    ( id,
+    ( svc,
+      id,
       Json.to_int (Json.member "events" summary),
       Json.to_int (Json.member "constraints" summary) )
   in
-  (* A fresh service over the same directory restores the tenant. *)
+  (* [with_service] already stopped it: a second stop is harmless, and
+     a fresh service (port 0) over the same directory restores the
+     tenant. *)
+  Service.stop svc;
   with_service ~data_dir:dir @@ fun svc2 ->
   check_true "no recovery failures" (Service.recovery_failures svc2 = []);
   let summary = json_of (req svc2 "GET" ("/sessions/" ^ id)) in
@@ -1044,6 +1048,33 @@ let test_slo_route_and_degraded_healthz () =
   status_is "metrics still served" 200 (req svc "GET" "/metrics");
   status_is "slo still served" 200 (req svc "GET" "/slo")
 
+(* Each observability route names its own content type, with or without
+   telemetry recording: an empty [/metrics] body is still the exposition
+   format, and only JSON is labelled JSON. *)
+let test_observability_content_types () =
+  let cases =
+    [ ("/metrics", "text/plain; version=0.0.4; charset=utf-8");
+      ("/healthz", "text/plain; charset=utf-8");
+      ("/slo", "application/json") ]
+  in
+  List.iter
+    (fun (sink_name, sink) ->
+      Sider_obs.Obs.set_sink sink;
+      Fun.protect ~finally:(fun () -> Sider_obs.Obs.set_sink None)
+      @@ fun () ->
+      with_service @@ fun svc ->
+      List.iter
+        (fun (path, expected) ->
+          let r = req svc "GET" path in
+          let what = Printf.sprintf "%s (%s sink)" path sink_name in
+          status_is what 200 r;
+          Alcotest.(check (option string)) (what ^ " content type")
+            (Some expected) (Http.header r "content-type");
+          if expected = "application/json" then
+            ignore (json_of r : Json.t))
+        cases)
+    [ ("null", Some Sider_obs.Obs.null_sink); ("no", None) ]
+
 (* A poisoned access-log channel must not wedge the service.
    [access_log_line] writes under [t.access_m]; if an exception on the
    write path could skip the unlock, the first failed write would
@@ -1128,6 +1159,8 @@ let suite =
       test_trace_links_all_surfaces;
     case "slo route reports burn and degrades healthz"
       test_slo_route_and_degraded_healthz;
+    case "observability routes name their content type"
+      test_observability_content_types;
     case "poisoned access log does not wedge requests"
       test_access_log_poisoned_channel;
   ]
