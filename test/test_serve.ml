@@ -256,6 +256,17 @@ let test_live_scrape () =
   let status, _ = http_request ~meth:"POST" port "/metrics" in
   Alcotest.(check int) "non-GET answers 405" 405 status
 
+let test_stop_idempotent () =
+  let start () =
+    Service.start ~config:{ Service.default_config with port = 0 } ()
+  in
+  let svc = start () in
+  Service.stop svc;
+  Service.stop svc;
+  (* The port is released: a fresh service can start immediately. *)
+  let svc2 = start () in
+  Service.stop svc2
+
 let suite =
   [
     case "exposition grammar: counter, gauge, summary" test_exposition_grammar;
@@ -265,4 +276,5 @@ let suite =
     test_labeled_sample_roundtrip;
     case "live scrape: /metrics, /healthz, 404, 405, counter movement"
       test_live_scrape;
+    case "stop is idempotent and releases the port" test_stop_idempotent;
   ]

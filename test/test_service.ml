@@ -251,7 +251,7 @@ let test_restart_recovers_sessions () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir)
   @@ fun () ->
-  let svc, id, events, constraints =
+  let id, events, constraints =
     with_service ~data_dir:dir @@ fun svc ->
     let id = create_session svc in
     status_is "constraint" 200
@@ -259,15 +259,11 @@ let test_restart_recovers_sessions () =
     status_is "update" 200
       (req svc ~body:update_body "POST" ("/sessions/" ^ id ^ "/update"));
     let summary = json_of (req svc "GET" ("/sessions/" ^ id)) in
-    ( svc,
-      id,
+    ( id,
       Json.to_int (Json.member "events" summary),
       Json.to_int (Json.member "constraints" summary) )
   in
-  (* [with_service] already stopped it: a second stop is harmless, and
-     a fresh service (port 0) over the same directory restores the
-     tenant. *)
-  Service.stop svc;
+  (* A fresh service over the same directory restores the tenant. *)
   with_service ~data_dir:dir @@ fun svc2 ->
   check_true "no recovery failures" (Service.recovery_failures svc2 = []);
   let summary = json_of (req svc2 "GET" ("/sessions/" ^ id)) in
